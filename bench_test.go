@@ -108,12 +108,13 @@ func BenchmarkFigure8(b *testing.B) {
 	benchMatrix(b, sim.BusyConfig(), "busy")
 }
 
-// BenchmarkFigure9 regenerates the multi-core scaling study.
+// BenchmarkFigure9 regenerates the multi-core scaling study (rows
+// parallel across GOMAXPROCS workers).
 func BenchmarkFigure9(b *testing.B) {
 	var r *harness.Fig9Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = harness.Figure9(nil)
+		r, err = harness.Figure9(0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,8 +13,8 @@
 //	ghostbench -experiment governor # static vs adaptively-governed ghosts
 //
 // Use -csv or -json for machine-readable output, -workloads to restrict
-// the evaluation set, and -j N to evaluate N workloads in parallel
-// (default: one worker per CPU).
+// the evaluation set, and -j N to evaluate N workloads (or, for fig9, N
+// (kernel, graph, cores) rows) in parallel (default: one worker per CPU).
 //
 // The resilience experiment sweeps each workload's ghost variant through
 // the deterministic fault ladder (internal/fault): ghost preemption,
@@ -49,7 +49,7 @@ func main() {
 		gnuplot    = flag.Bool("gnuplot", false, "emit a gnuplot script (fig6/fig8)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34)")
-		jobs       = flag.Int("j", 0, "parallel workload evaluations (0 = GOMAXPROCS)")
+		jobs       = flag.Int("j", 0, "parallel workload evaluations, or fig9 rows (0 = GOMAXPROCS)")
 		cycleStep  = flag.Bool("cyclestep", false, "force per-cycle stepping (disable event skipping; for perf comparisons)")
 		scale      = flag.String("scale", "eval", "workload input scale for -experiment resilience: eval | profile")
 		faultSeed  = flag.Uint64("fault-seed", 1, "master seed for the resilience fault schedules")
@@ -60,7 +60,6 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the experiment) to this file")
 		profDir    = flag.String("profile-cache", "", "directory for the on-disk profiling-report cache (empty = in-process memo only)")
-		serialStep = flag.Bool("serialstep", false, "force serial per-core stepping inside multi-core runs (disable the epoch-parallel fast path)")
 	)
 	flag.Parse()
 
@@ -100,8 +99,6 @@ func main() {
 	idleCfg, busyCfg := sim.DefaultConfig(), sim.BusyConfig()
 	idleCfg.CycleStep = *cycleStep
 	busyCfg.CycleStep = *cycleStep
-	idleCfg.SerialStep = *serialStep
-	busyCfg.SerialStep = *serialStep
 
 	names := workloads.AllWorkloadNames()
 	if *workSet != "" {
@@ -166,7 +163,7 @@ func main() {
 		}
 
 	case "fig9":
-		res, err := harness.Figure9(progress)
+		res, err := harness.Figure9(*jobs, progress)
 		check(err)
 		fmt.Println("Figure 9: multi-core scaling (geomean speedup over the parallel baseline)")
 		fmt.Print(harness.RenderFigure9(res))

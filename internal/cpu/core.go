@@ -228,13 +228,6 @@ type Core struct {
 	// is bit-identical across step modes.
 	fault *fault.Injector
 
-	// Turn gate for parallel multi-core stepping (nil = serial; see
-	// gate.go and sim.System). haveTurn tracks whether this step already
-	// acquired the cycle's turn.
-	gate     *StepGate
-	rank     int
-	haveTurn bool
-
 	err error
 }
 
@@ -345,24 +338,6 @@ func (c *Core) sqCap() int {
 	return c.cfg.StoreQ
 }
 
-// SetGate attaches (or with nil detaches) the turn gate for parallel
-// multi-core stepping, with this core's rank in the current cycle's
-// serial order. Attached by sim.System's parallel loop only.
-func (c *Core) SetGate(g *StepGate, rank int) {
-	c.gate = g
-	c.rank = rank
-}
-
-// turn acquires this cycle's shared-access turn once per step: the first
-// shared-resource touch (cache hierarchy, memory image) waits until every
-// lower-ranked core has finished its step, reproducing the serial order.
-func (c *Core) turn() {
-	if c.gate != nil && !c.haveTurn {
-		c.gate.acquire(c.rank)
-		c.haveTurn = true
-	}
-}
-
 // claimIssue claims an issue port at the earliest cycle at or after
 // ready with a free slot and returns that cycle. Ports beyond the ring
 // horizon are untracked (see the issueCnt field comment).
@@ -433,12 +408,8 @@ func (c *Core) mshrBusy(at int64) int {
 // the core is done.
 func (c *Core) Step() bool {
 	if c.Done() {
-		if c.gate != nil {
-			c.gate.finish(c.rank)
-		}
 		return false
 	}
-	c.haveTurn = false
 	c.now++
 	if c.events.len() > 0 {
 		c.processEvents()
@@ -449,9 +420,6 @@ func (c *Core) Step() bool {
 	c.dispatch()
 	if c.trace != nil {
 		c.traceStalls()
-	}
-	if c.gate != nil {
-		c.gate.finish(c.rank)
 	}
 	return !c.Done()
 }
@@ -688,7 +656,6 @@ func (c *Core) govRespawn() {
 	c.GovRespawns++
 	c.ghostStart = c.now
 	if c.govCtrAddr > 0 {
-		c.turn()
 		c.mem.StoreWord(c.govCtrAddr, 0)
 	}
 	if c.trace != nil {
@@ -1234,7 +1201,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		if c.shadow != nil && t.id == 0 {
 			c.shadow.demand(addr)
 		}
@@ -1256,7 +1222,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		c.mem.StoreWord(addr, t.regs[in.Src2])
 		t.sq++
 	case isa.OpPrefetch:
@@ -1272,7 +1237,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			addr = 0
 		}
 		memAddr = addr
-		c.turn()
 		t.lq++
 	case isa.OpAtomicAdd:
 		addr := t.regs[in.Src1] + in.Imm
@@ -1281,7 +1245,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		if c.shadow != nil && t.id == 0 {
 			c.shadow.demand(addr)
 		}
@@ -1384,7 +1347,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 		// A sync check: the ghost just read the main thread's published
 		// counter. Its own count is the published ghost counter word
 		// (requires core.SyncParams.Trace).
-		c.turn()
 		if c.met != nil && c.met.GhostLead != nil {
 			c.met.GhostLead.Observe(c.mem.LoadWord(c.met.GhostCounterAddr) - t.regs[in.Dst])
 		}
@@ -1498,8 +1460,7 @@ func (c *Core) SetMetrics(m *obs.CoreMetrics) { c.met = m }
 // ghost's published iteration count (core.Counters.GhostAddr; the
 // ghost-lead tap needs core.SyncParams.Trace so the ghost publishes
 // there). The recorder is single-writer (this core) and drained only
-// between epochs by the run coordinator, so windowed runs stay eligible
-// for parallel stepping.
+// between steps, at window-boundary flushes.
 func (c *Core) SetWindowRecorder(w *obs.WindowRecorder, ghostAddr int64) {
 	c.wrec = w
 	c.wrecAddr = ghostAddr
@@ -1533,9 +1494,9 @@ func (c *Core) SetGovResync(pc, cap int64) { c.govResyncPC, c.govRespawnCap = pc
 
 // ScheduleGovKill schedules a governor ghost-kill for the next stepped
 // cycle. It rides the timing wheel exactly like the evFaultKill trigger,
-// so it fires at the same cycle under per-cycle stepping, event skipping,
-// and parallel stepping (NextEvent never skips past a pending wheel
-// event). Call only between steps (window-boundary flushes qualify).
+// so it fires at the same cycle under per-cycle stepping and event
+// skipping (NextEvent never skips past a pending wheel event). Call only
+// between steps (window-boundary flushes qualify).
 func (c *Core) ScheduleGovKill() {
 	c.events.push(c.now, event{at: c.now + 1, kind: evGovKill})
 }

@@ -11,7 +11,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -76,35 +75,16 @@ type AdviseSummary struct {
 // one exists, otherwise a compiler-extracted ghost from the annotated
 // targets). sink, when non-nil, receives each row as it completes.
 func Advise(names []string, cfg sim.Config, workers int, sink func(AdviseRow)) (*AdviseSummary, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) && len(names) > 0 {
-		workers = len(names)
-	}
 	rows := make([]AdviseRow, len(names))
 	var sinkMu sync.Mutex
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i] = adviseOne(names[i], cfg)
-				if sink != nil {
-					sinkMu.Lock()
-					sink(rows[i])
-					sinkMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	forEachIndex(len(names), workers, func(i int) {
+		rows[i] = adviseOne(names[i], cfg)
+		if sink != nil {
+			sinkMu.Lock()
+			sink(rows[i])
+			sinkMu.Unlock()
+		}
+	})
 
 	sum := &AdviseSummary{Rows: rows, Workloads: len(rows), Threshold: AdviseSpeedupThreshold}
 	var scores, speedups []float64

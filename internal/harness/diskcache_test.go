@@ -8,6 +8,7 @@ import (
 	"encoding/gob"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ghostthread/internal/profile"
@@ -41,7 +42,6 @@ func testKey(workload string) profKey {
 		maxCycles:   cfg.MaxCycles,
 		sampleEvery: cfg.SampleEvery,
 		cycleStep:   cfg.CycleStep,
-		serialStep:  cfg.SerialStep,
 	}
 }
 
@@ -137,6 +137,41 @@ func TestDiskCacheVersionMismatchEvicted(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("version-mismatched blob was not evicted: stat err = %v", err)
+	}
+}
+
+// TestDiskCacheRemovedKeyFieldRejected covers blobs written before a
+// profKey field was removed (the dropped serial-stepping switch): their
+// stored key still renders the old field. Such a blob hashes to a
+// different file name, so a lookup misses it; and even placed at the new
+// key's path it fails the rendered-key check and is evicted, never read
+// as a hit.
+func TestDiskCacheRemovedKeyFieldRejected(t *testing.T) {
+	cacheDir(t)
+	key := testKey("old-layout")
+	rendered := renderKey(key)
+	old := strings.Replace(rendered, " fault:", " serialStep:false fault:", 1)
+	if old == rendered {
+		t.Fatalf("rendered key %q has no fault field to anchor the old layout", rendered)
+	}
+	path := diskCachePath(rendered)
+	if diskCachePath(old) == path {
+		t.Fatal("old-layout key hashes to the same file as the current key")
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := diskBlob{Version: diskCacheVersion, Key: old, Report: *testReport()}
+	if err := gob.NewEncoder(f).Encode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if diskCacheLoad(key) != nil {
+		t.Error("blob with an old-layout key was returned")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("old-layout blob was not evicted: stat err = %v", err)
 	}
 }
 

@@ -71,9 +71,9 @@ func TestGovernedHealthyGhostsUnharmed(t *testing.T) {
 }
 
 // TestGovernorDecisionDeterminism asserts the governed decision log —
-// and the governed cycle count — are bit-identical across the stepping
-// mode matrix (CycleStep × SerialStep) and across a straight replay,
-// for a workload where the governor actually acts (bfs.kron compiler).
+// and the governed cycle count — are bit-identical with and without
+// CycleStep and across a straight replay, for a workload where the
+// governor actually acts (bfs.kron compiler).
 func TestGovernorDecisionDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eval-scale simulation")

@@ -8,7 +8,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -86,7 +85,6 @@ type profKey struct {
 	maxCycles   int64
 	sampleEvery int64
 	cycleStep   bool
-	serialStep  bool
 	fault       fault.Config
 	shadow      sim.ShadowConfig
 	governor    gov.Config
@@ -131,7 +129,6 @@ func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (
 		maxCycles:   cfg.MaxCycles,
 		sampleEvery: cfg.SampleEvery,
 		cycleStep:   cfg.CycleStep,
-		serialStep:  cfg.SerialStep,
 		fault:       cfg.Fault,
 		shadow:      cfg.Shadow,
 		governor:    cfg.Governor,
@@ -404,37 +401,18 @@ func RunMatrix(names []string, machine string, cfg sim.Config, progress func(str
 // callback is serialized but fires in completion-start order, which
 // under concurrency is not the input order.
 func RunMatrixWorkers(names []string, machine string, cfg sim.Config, workers int, progress func(string)) (*Matrix, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) && len(names) > 0 {
-		workers = len(names)
-	}
 	start := time.Now() //detlint:ignore host throughput metric (wall_seconds); never feeds simulated state
 	rows := make([]*Row, len(names))
 	errs := make([]error, len(names))
 	var progressMu sync.Mutex
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if progress != nil {
-					progressMu.Lock()
-					progress(names[i])
-					progressMu.Unlock()
-				}
-				rows[i], errs[i] = safeEval(names[i], cfg, core.DefaultHeuristicParams())
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	workers = forEachIndex(len(names), workers, func(i int) {
+		if progress != nil {
+			progressMu.Lock()
+			progress(names[i])
+			progressMu.Unlock()
+		}
+		rows[i], errs[i] = safeEval(names[i], cfg, core.DefaultHeuristicParams())
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

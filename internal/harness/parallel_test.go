@@ -105,3 +105,30 @@ func TestMatrixJSONThroughputFields(t *testing.T) {
 		t.Errorf("throughput not recorded: %f cycles/s over %fs", m.CyclesPerSec, m.WallSeconds)
 	}
 }
+
+// TestFigure9WorkersMatchSerial proves figure 9's row pool assembles
+// deterministically: one worker and two give DeepEqual results. It runs
+// a two-pair slice of the figure (every core count plus the no-omp
+// column); Figure9 itself only fixes the pair list.
+func TestFigure9WorkersMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eval-scale multi-core simulation")
+	}
+	pairs := [][2]string{{"cc", "road"}, {"pr", "road"}}
+	serial, err := figure9(pairs, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := figure9(pairs, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, par) {
+		t.Errorf("Fig9Result differs between 1 and 2 workers\nserial: %+v\n   par: %+v", serial, par)
+	}
+	for _, c := range Fig9CoreCounts {
+		if serial.Geomean[TechGhost][c] == 0 {
+			t.Errorf("ghost geomean at %d cores is zero; the slice ran nothing", c)
+		}
+	}
+}

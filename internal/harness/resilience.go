@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -130,14 +129,6 @@ func Resilience(names []string, cfg sim.Config, opts ResilienceOptions, sink fun
 		cfg.MaxCycles = opts.CycleBudget
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) && len(names) > 0 {
-		workers = len(names)
-	}
-
 	var sinkMu sync.Mutex
 	emit := func(r ResilienceRow) {
 		if sink == nil {
@@ -158,22 +149,9 @@ func Resilience(names []string, cfg sim.Config, opts ResilienceOptions, sink fun
 	}
 
 	perWorkload := make([][]ResilienceRow, len(names))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				perWorkload[i] = resilienceTask(names[i], cfg, levels, buildOpts, opts.InjectPanic, opts.Window, emit, winEmit)
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	forEachIndex(len(names), opts.Workers, func(i int) {
+		perWorkload[i] = resilienceTask(names[i], cfg, levels, buildOpts, opts.InjectPanic, opts.Window, emit, winEmit)
+	})
 
 	var rows []ResilienceRow
 	for _, rs := range perWorkload {

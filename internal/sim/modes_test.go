@@ -1,25 +1,21 @@
 package sim_test
 
 // modes_test.go — the execution-mode equivalence suite. The simulator
-// has three independent speed axes, each with a reference setting:
+// has two independent speed axes, each with a reference setting:
 //
 //   - superblock dispatch      vs  cpu.Config.Interpret (per-instruction)
 //   - event-skip fast-forward  vs  sim.Config.CycleStep (per-cycle)
-//   - epoch-parallel stepping  vs  sim.Config.SerialStep (in-order cores)
 //
 // Every combination must produce a bit-identical sim.Result (and final
-// memory image), alone and composed with fault injection and the shadow
-// oracle. `make ci` additionally runs this file under the race detector,
-// which turns the parallel-stepping cases into a data-race proof of the
-// turn-gate discipline.
+// memory image), on one core and on four, alone and composed with fault
+// injection and the shadow oracle.
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
+	"ghostthread/internal/cpu"
 	"ghostthread/internal/fault"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
@@ -112,7 +108,7 @@ func TestModeEquivalenceComposed(t *testing.T) {
 
 // runMultiMode builds a fresh MultiGhost PageRank machine and runs it
 // with the given mode knobs, returning the Result and the memory image.
-func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bool) (sim.Result, []int64) {
+func runMultiMode(t *testing.T, base sim.Config, interpret, cycleStep bool) (sim.Result, []int64) {
 	t.Helper()
 	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
 	if err != nil {
@@ -120,7 +116,6 @@ func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bo
 	}
 	cfg := base
 	cfg.Cores = inst.Cores
-	cfg.SerialStep = serial
 	cfg.CPU.Interpret = interpret
 	cfg.CycleStep = cycleStep
 	s := sim.New(cfg, inst.Mem)
@@ -129,85 +124,106 @@ func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bo
 	}
 	res, err := s.Run()
 	if err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v interpret=%v cycleStep=%v): %v", serial, interpret, cycleStep, err)
+		t.Fatalf("pr.kron multighost (interpret=%v cycleStep=%v): %v", interpret, cycleStep, err)
 	}
 	if err := inst.Check(inst.Mem); err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v interpret=%v cycleStep=%v): check: %v", serial, interpret, cycleStep, err)
+		t.Fatalf("pr.kron multighost (interpret=%v cycleStep=%v): check: %v", interpret, cycleStep, err)
 	}
 	return res, snapshot(inst.Mem)
 }
 
-// TestModeEquivalenceMultiGhostPR proves the full {SerialStep} ×
-// {Interpret} × {CycleStep} cube on a 4-core MultiGhost PageRank run:
-// the epoch-parallel worker pool must hand the shared LLC, memory
-// controller, and memory image to cores in exactly the serial order.
-// The reference corner is the fully serial, interpreted, per-cycle
-// machine — every fast path disabled.
+// TestModeEquivalenceMultiGhostPR proves the {Interpret} × {CycleStep}
+// square on a 4-core MultiGhost PageRank run, where the cores contend
+// for the shared LLC, memory controller, and memory image. The reference
+// corner is the interpreted, per-cycle machine — every fast path
+// disabled.
 func TestModeEquivalenceMultiGhostPR(t *testing.T) {
-	refRes, refMem := runMultiMode(t, sim.DefaultConfig(), true, true, true)
-	for _, serial := range []bool{true, false} {
-		for _, m := range stepModes {
-			if serial && m.interpret && m.cycleStep {
-				continue // the reference corner itself
-			}
-			name := fmt.Sprintf("serial=%v/%s", serial, m.name)
-			res, img := runMultiMode(t, sim.DefaultConfig(), serial, m.interpret, m.cycleStep)
-			assertMode(t, "pr.kron/multighost", name, refRes, res, refMem, img)
-		}
+	ref := stepModes[len(stepModes)-1]
+	refRes, refMem := runMultiMode(t, sim.DefaultConfig(), ref.interpret, ref.cycleStep)
+	for _, m := range stepModes[:len(stepModes)-1] {
+		res, img := runMultiMode(t, sim.DefaultConfig(), m.interpret, m.cycleStep)
+		assertMode(t, "pr.kron/multighost", m.name, refRes, res, refMem, img)
 	}
 }
 
-// TestModeEquivalenceMultiCoreComposed drives the parallel worker pool
-// with fault injection and the shadow oracle live — the strongest
-// composition the machine supports. Under `-race` this doubles as the
-// data-race proof for injector and oracle state during parallel
-// stepping (both are per-core, ordered by the turn gate).
+// TestModeEquivalenceMultiCoreComposed runs the 4-core machine with
+// fault injection and the shadow oracle live — the strongest composition
+// it supports — and compares the default (superblock, event-skip) run
+// against the interpreted, per-cycle reference.
 func TestModeEquivalenceMultiCoreComposed(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Fault = combinedSchedule()
 	base.Shadow.Enabled = true
-	refRes, refMem := runMultiMode(t, base, true, false, false)
+	refRes, refMem := runMultiMode(t, base, true, true)
 	if refRes.Fault == (fault.Stats{}) {
 		t.Fatal("fault schedule injected nothing; composition proves nothing")
 	}
-	res, img := runMultiMode(t, base, false, false, false)
-	assertMode(t, "pr.kron/multighost(faulted+shadowed)", "parallel", refRes, res, refMem, img)
+	res, img := runMultiMode(t, base, false, false)
+	assertMode(t, "pr.kron/multighost(faulted+shadowed)", stepModes[0].name, refRes, res, refMem, img)
 }
 
-// TestBudgetErrorDetachesGates proves runParallel's error path leaves no
-// core attached to the step gate: a parallel run that exhausts MaxCycles
-// must still allow the cores to be stepped directly afterwards. Before
-// the deferred SetGate(nil, 0) cleanup, the BudgetError return skipped
-// gate detachment and this test deadlocked in gate.acquire.
-func TestBudgetErrorDetachesGates(t *testing.T) {
-	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
-	if err != nil {
-		t.Fatal(err)
+// TestBudgetErrorMultiCore: a 4-core run that exhausts MaxCycles must
+// trip the watchdog at the same cycle, in the same machine state, under
+// event skipping as under per-cycle stepping — the skipper is capped
+// below MaxCycles, so it can neither overshoot the budget nor stop short.
+// The limits fall in the run's miss-bound start-up, where skip spans
+// cross them (a skipper capped at MaxCycles instead of MaxCycles-1
+// fails every one).
+func TestBudgetErrorMultiCore(t *testing.T) {
+	for _, limit := range []int64{7_500, 9_000, 11_000} {
+		budgetTripMultiCore(t, limit)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.Cores = inst.Cores
-	cfg.MaxCycles = 1_000
-	s := sim.New(cfg, inst.Mem)
-	for c := range inst.Per {
-		s.Load(c, inst.Per[c].Main, inst.Per[c].Helpers)
+}
+
+func budgetTripMultiCore(t *testing.T, limit int64) {
+	t.Helper()
+	type state struct {
+		now   []int64
+		stats []cpu.Stats
+		mem   []int64
 	}
-	var be *sim.BudgetError
-	if _, err := s.Run(); !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *sim.BudgetError", err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	run := func(cycleStep bool) state {
+		inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.DefaultConfig()
+		cfg.Cores = inst.Cores
+		cfg.MaxCycles = limit
+		cfg.CycleStep = cycleStep
+		s := sim.New(cfg, inst.Mem)
+		for c := range inst.Per {
+			s.Load(c, inst.Per[c].Main, inst.Per[c].Helpers)
+		}
+		var be *sim.BudgetError
+		if _, err := s.Run(); !errors.As(err, &be) || be.Limit != limit {
+			t.Fatalf("limit %d cycleStep=%v: err = %v, want *sim.BudgetError", limit, cycleStep, err)
+		}
+		var st state
 		for i := 0; i < s.Cores(); i++ {
 			c := s.Core(i)
-			for n := 0; n < 100 && !c.Done(); n++ {
-				c.Step()
+			if c.Done() {
+				t.Fatalf("limit %d cycleStep=%v: core %d finished inside the budget", limit, cycleStep, i)
 			}
+			st.now = append(st.now, c.Now())
+			st.stats = append(st.stats, c.Stats())
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("stepping after BudgetError deadlocked: cores still gated")
+		st.mem = snapshot(inst.Mem)
+		return st
+	}
+	ref, skip := run(true), run(false)
+	for i, now := range ref.now {
+		if now != limit {
+			t.Errorf("limit %d: core %d tripped at cycle %d under per-cycle stepping", limit, i, now)
+		}
+	}
+	if !reflect.DeepEqual(ref.now, skip.now) {
+		t.Errorf("limit %d: trip cycles differ: per-cycle %v, skip %v", limit, ref.now, skip.now)
+	}
+	if !reflect.DeepEqual(ref.stats, skip.stats) {
+		t.Errorf("limit %d: per-core statistics at the trip differ between per-cycle and skip stepping", limit)
+	}
+	if !reflect.DeepEqual(ref.mem, skip.mem) {
+		t.Errorf("limit %d: memory image at the trip differs between per-cycle and skip stepping", limit)
 	}
 }
