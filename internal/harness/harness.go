@@ -53,8 +53,9 @@ type Row struct {
 	EnergySaving   map[string]float64
 	Unavailable    map[string]string // technique -> reason ('x' ticks)
 
-	// Prefetch holds the prefetch-quality summary per technique, for the
-	// techniques whose run executed software prefetches.
+	// Prefetch holds the prefetch-quality summary of every technique that
+	// ran, zeros included: a compiler ghost that collapsed to issuing no
+	// prefetches reads "issued 0" instead of vanishing from the row.
 	Prefetch map[string]PrefetchReport
 
 	// SimCycles is the total simulated cycles this row represents
@@ -275,9 +276,7 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 		}
 		row.Speedup[tech] = float64(base.Cycles) / float64(res.Cycles)
 		row.EnergySaving[tech] = em.Saving(base, res)
-		if q := res.Prefetch; q.Issued+q.Redundant > 0 {
-			row.Prefetch[tech] = NewPrefetchReport(res)
-		}
+		row.Prefetch[tech] = NewPrefetchReport(res)
 	}
 
 	// SWPF.

@@ -187,3 +187,29 @@ func TestEvalBusyServerSelectsAtLeastAsMany(t *testing.T) {
 		t.Errorf("busy server selected fewer targets (%d) than idle (%d)", busy.Targets, idle.Targets)
 	}
 }
+
+// TestEvalRecordsZeroPrefetchTechniques: a technique that ran but issued
+// no prefetches keeps its prefetch block. On nas-is the ghost and
+// compiler bars fall back to the baseline run, which issues none.
+func TestEvalRecordsZeroPrefetchTechniques(t *testing.T) {
+	row, err := Eval("nas-is", sim.DefaultConfig(), core.DefaultHeuristicParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tech := range []string{TechGhost, TechCompiler} {
+		q, ok := row.Prefetch[tech]
+		if !ok {
+			t.Errorf("%s ran but has no prefetch block", tech)
+			continue
+		}
+		if q.Issued != 0 || q.Redundant != 0 {
+			t.Errorf("%s prefetch block = %+v, want zero issued (baseline fallback)", tech, q)
+		}
+	}
+	if q := row.Prefetch[TechSWPF]; q.Issued == 0 {
+		t.Errorf("swpf prefetch block = %+v, want issued > 0", q)
+	}
+	if _, ok := row.Prefetch[TechSMT]; ok {
+		t.Errorf("smt-openmp did not run (unavailable) but has a prefetch block")
+	}
+}
