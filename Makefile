@@ -1,13 +1,18 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden ci
+.PHONY: build vet fmt test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every Go file gofmt would change.
+fmt:
+	@out=$$(gofmt -l ./internal ./cmd *.go); \
+	if [ -n "$$out" ]; then echo "gofmt needed:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -141,4 +146,4 @@ governor-golden:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out testdata/governed_windows_golden.ndjson > /dev/null
 
-ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke
+ci: fmt vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke

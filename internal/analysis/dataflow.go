@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/bits"
+	"slices"
 
 	"ghostthread/internal/isa"
 )
@@ -72,56 +73,40 @@ func (du *DefUse) DefsOfReg(pc int, r isa.Reg) []int { return du.defsOf[pc][r] }
 func (g *CFG) ReachingDefs() *DefUse {
 	p := g.Prog
 	nb := len(g.Blocks)
+	nregs := 0 // one past the highest register any field names
+	for i := range p.Code {
+		in := &p.Code[i]
+		nregs = max(nregs, int(in.Dst)+1, int(in.Src1)+1, int(in.Src2)+1)
+	}
 
-	// Per-block out-state: definition PC set per register, represented as
-	// sorted slices (programs are small; simplicity over asymptotics).
-	type state = map[isa.Reg][]int
-	out := make([]state, nb)
+	// Per-block out-states plus one scratch in-state, all carved from one
+	// backing array and reused across the fixpoint's iterations.
+	backing := make([][]int, (nb+1)*nregs)
+	newState := func(i int) defState {
+		return defState{defs: backing[i*nregs : (i+1)*nregs : (i+1)*nregs]}
+	}
+	out := make([]defState, nb)
 	for i := range out {
-		out[i] = state{}
+		out[i] = newState(i)
 	}
-
-	mergeInto := func(dst state, src state) bool {
-		changed := false
-		for r, defs := range src {
-			have := dst[r]
-			seen := map[int]bool{}
-			for _, d := range have {
-				seen[d] = true
-			}
-			for _, d := range defs {
-				if !seen[d] {
-					have = append(have, d)
-					seen[d] = true
-					changed = true
-				}
-			}
-			dst[r] = have
+	in := newState(nb)
+	blockIn := func(b int) {
+		in.reset()
+		for _, pr := range g.Blocks[b].Preds {
+			in.merge(&out[pr])
 		}
-		return changed
-	}
-
-	transfer := func(b int, in state) state {
-		cur := state{}
-		mergeInto(cur, in)
-		for pc := g.Blocks[b].Start; pc < g.Blocks[b].End; pc++ {
-			instr := &p.Code[pc]
-			if instr.Op.HasDst() {
-				cur[instr.Dst] = []int{pc}
-			}
-		}
-		return cur
 	}
 
 	for changed := true; changed; {
 		changed = false
 		for _, b := range g.RPO {
-			in := state{}
-			for _, pr := range g.Blocks[b].Preds {
-				mergeInto(in, out[pr])
+			blockIn(b)
+			for pc := g.Blocks[b].Start; pc < g.Blocks[b].End; pc++ {
+				if instr := &p.Code[pc]; instr.Op.HasDst() {
+					in.define(instr.Dst, pc)
+				}
 			}
-			newOut := transfer(b, in)
-			if mergeInto(out[b], newOut) {
+			if out[b].merge(&in) {
 				changed = true
 			}
 		}
@@ -129,14 +114,11 @@ func (g *CFG) ReachingDefs() *DefUse {
 
 	du := &DefUse{DefsAt: map[int][]int{}, defsOf: map[int]map[isa.Reg][]int{}, UsesOf: map[int][]int{}}
 	for _, b := range g.RPO {
-		in := state{}
-		for _, pr := range g.Blocks[b].Preds {
-			mergeInto(in, out[pr])
-		}
+		blockIn(b)
 		for pc := g.Blocks[b].Start; pc < g.Blocks[b].End; pc++ {
 			instr := &p.Code[pc]
 			for _, r := range srcRegs(instr) {
-				defs := in[r]
+				defs := in.defs[r]
 				if len(defs) > 0 {
 					du.DefsAt[pc] = append(du.DefsAt[pc], defs...)
 					m := du.defsOf[pc]
@@ -151,11 +133,58 @@ func (g *CFG) ReachingDefs() *DefUse {
 				}
 			}
 			if instr.Op.HasDst() {
-				in[instr.Dst] = []int{pc}
+				in.define(instr.Dst, pc)
 			}
 		}
 	}
 	return du
+}
+
+// defState is the set of definitions reaching one program point: per
+// register, the definition PCs in the order they first reached it (the
+// order DefUse reports), and the set of registers that have any.
+type defState struct {
+	regs RegSet
+	defs [][]int // indexed by register
+}
+
+// reset empties s, keeping every list's capacity.
+func (s *defState) reset() {
+	for w, word := range s.regs {
+		for ; word != 0; word &= word - 1 {
+			r := w*64 + bits.TrailingZeros64(word)
+			s.defs[r] = s.defs[r][:0]
+		}
+	}
+	s.regs = RegSet{}
+}
+
+// merge appends to s every definition of src it lacks, reporting whether
+// s changed. The lists hold a handful of PCs, so a linear scan beats any
+// set structure.
+func (s *defState) merge(src *defState) bool {
+	changed := false
+	for w, word := range src.regs {
+		for ; word != 0; word &= word - 1 {
+			r := w*64 + bits.TrailingZeros64(word)
+			have := s.defs[r]
+			for _, d := range src.defs[r] {
+				if !slices.Contains(have, d) {
+					have = append(have, d)
+					changed = true
+				}
+			}
+			s.defs[r] = have
+		}
+	}
+	s.regs.Union(&src.regs)
+	return changed
+}
+
+// define makes pc the only definition of r that reaches past it.
+func (s *defState) define(r isa.Reg, pc int) {
+	s.defs[r] = append(s.defs[r][:0], pc)
+	s.regs.Add(r)
 }
 
 // Liveness computes per-block live-out register sets with the standard

@@ -51,8 +51,9 @@ type Config struct {
 	SpawnCostHelper int64 // cycles before the helper starts fetching
 	JoinCost        int64 // cycles the main thread pays to deactivate/join
 
-	// Interpret disables superblock dispatch, routing every instruction
-	// through the per-instruction reference interpreter. Timing and
+	// Interpret disables the decoded dispatch loop, routing every
+	// instruction through the per-instruction reference interpreter
+	// (the mode the perf ledger times the loop against). Timing and
 	// results are bit-identical either way (the equivalence suite proves
 	// it); the flag exists so that proof can run, and as a debugging aid.
 	Interpret bool

@@ -145,6 +145,7 @@ type Core struct {
 	dhelpers []*decodedProgram
 	threads  [2]thread
 	now      int64
+	steps    int64 // cycles Step processed since Load (see Steps)
 	events   eventWheel
 	due      []event  // scratch for the cycle's due events (reused)
 	lat      [3]int64 // issue latency per latClass (Int, Mul, Div)
@@ -267,6 +268,7 @@ func (c *Core) Load(main *isa.Program, helpers []*isa.Program) {
 	c.govArmed = c.govResyncPC > 0
 	c.govAtResync = false
 	c.now = 0
+	c.steps = 0
 	c.events.reset()
 	nmshr := c.cfg.MSHRs
 	if nmshr < 1 {
@@ -297,6 +299,12 @@ func (c *Core) Load(main *isa.Program, helpers []*isa.Program) {
 
 // Now returns the current cycle.
 func (c *Core) Now() int64 { return c.now }
+
+// Steps returns how many cycles Step has processed since Load; the
+// cycles SkipTo jumped over are not counted. It measures the stepping
+// loop's work, so it differs between stepping modes and stays out of
+// Stats, which those modes must agree on.
+func (c *Core) Steps() int64 { return c.steps }
 
 // Err returns the first simulation error (bad program behaviour), if any.
 func (c *Core) Err() error { return c.err }
@@ -411,6 +419,7 @@ func (c *Core) Step() bool {
 		return false
 	}
 	c.now++
+	c.steps++
 	if c.events.len() > 0 {
 		c.processEvents()
 	}
@@ -618,7 +627,7 @@ func (c *Core) processEvents() {
 		case evGovRespawn:
 			if c.govResyncPC > 0 {
 				// Defer the re-seed to the main thread's next region-loop
-				// header crossing (see dispatchRun) — and keep it armed, so
+				// header crossing (see resync) — and keep it armed, so
 				// every later crossing refreshes the ghost for its phase.
 				c.govArmed = true
 			} else {
@@ -859,10 +868,10 @@ func (c *Core) issueMem(t *thread, d *dInstr, addr, floor int64) int64 {
 	}
 	switch d.class {
 	case clLoad, clAtomic:
-		if c.hier.WouldMissL1(addr, ready) {
-			if w := c.mshrWait(ready); w > ready {
-				ready = w
-			}
+		// A miss waits for a free MSHR. The heap root is the cheaper
+		// probe, so the L1 tag probe runs only when every MSHR is busy.
+		if w := c.mshrWait(ready); w > ready && c.hier.WouldMissL1(addr, ready) {
+			ready = w
 		}
 		issueAt := c.claimIssue(ready)
 		res := c.hier.DemandAccess(addr, issueAt)
@@ -873,10 +882,8 @@ func (c *Core) issueMem(t *thread, d *dInstr, addr, floor int64) int64 {
 		}
 		return res.CompleteAt
 	case clPrefetch:
-		if c.hier.WouldMissL1(addr, ready) {
-			if w := c.mshrWait(ready); w > ready {
-				ready = w
-			}
+		if w := c.mshrWait(ready); w > ready && c.hier.WouldMissL1(addr, ready) {
+			ready = w
 		}
 		issueAt := c.claimIssue(ready)
 		var pfDrop bool
@@ -917,190 +924,309 @@ func (c *Core) issueMem(t *thread, d *dInstr, addr, floor int64) int64 {
 }
 
 // dispatch fetches, functionally executes, and inserts instructions into
-// the ROB, sharing FetchWidth between the threads. Straight-line ALU
-// runs dispatch as superblocks (see dispatchALURun) unless
-// Config.Interpret forces the per-instruction reference path.
+// the ROB, sharing FetchWidth between the threads (the first turn
+// alternates with the cycle's parity). Each thread's turn runs the
+// decoded loop (dispatchDecoded) unless Config.Interpret routes every
+// instruction through dispatchOne, the per-instruction reference.
 func (c *Core) dispatch() {
 	slots := c.cfg.FetchWidth
 	first := int(c.now & 1)
 	for k := 0; k < 2 && slots > 0; k++ {
 		t := &c.threads[(first+k)&1]
-		for slots > 0 {
-			n := c.dispatchRun(t, slots)
-			if n == 0 {
-				break
-			}
-			slots -= n
-		}
-	}
-}
-
-// dispatchRun dispatches the next superblock (or single instruction) of
-// t, bounded by the available fetch slots, and returns how many
-// instructions it consumed (0 when the thread cannot dispatch).
-func (c *Core) dispatchRun(t *thread, slots int) int {
-	if !t.active || t.halted || t.finished || c.err != nil {
-		return 0
-	}
-	if t.id == 0 && c.govArmed {
-		// Armed PC-synchronized respawn: re-seed the ghost the moment the
-		// main thread arrives back at the region-loop header, where its
-		// loop-carried registers are valid ghost entry state (registers
-		// are computed at dispatch in this engine, so everything before
-		// the backedge has executed). Edge-detected: a header stalled on
-		// the ROB or fetch block must re-seed once, not every cycle. The
-		// check sits before the structural blocks for exactly that reason.
-		if int64(t.pc) == c.govResyncPC {
-			if !c.govAtResync {
-				c.govAtResync = true
-				c.govRespawn()
+		if c.cfg.Interpret {
+			for slots > 0 && c.dispatchOne(t) {
+				slots--
 			}
 		} else {
-			c.govAtResync = false
+			slots -= c.dispatchDecoded(t, slots)
 		}
 	}
-	if c.now < t.startAt || c.now < t.fetchBlockedUntil || t.serializeBlocked {
-		return 0
-	}
-	robCap := c.robCap()
-	if t.count >= robCap {
-		return 0
-	}
-	if t.pc < 0 || t.pc >= len(t.code) {
-		c.err = fmt.Errorf("cpu: %q thread %d pc %d out of range", t.prog.Name, t.id, t.pc)
-		return 0
-	}
-	d := &t.code[t.pc]
-	if d.class != clALU || c.cfg.Interpret {
-		if c.dispatchOne(t) {
-			return 1
-		}
-		return 0
-	}
-	n := int(d.run)
-	if n > slots {
-		n = slots
-	}
-	if free := robCap - t.count; n > free {
-		n = free
-	}
-	return c.dispatchALURun(t, n)
 }
 
-// dispatchALURun executes and inserts n straight-line ALU instructions
-// starting at t.pc as one fused superblock: one loop over pre-decoded
-// entries with no structural checks (ALU ops have none) and no
-// per-instruction class switch on the way in. Cycle accounting is
-// untouched — each instruction still occupies its own ROB slot, claims
-// its issue port at the first port-free cycle after its operand floor,
-// and claims its destination — so the timing is bit-identical to
-// dispatching the run one instruction at a time (the equivalence suite
-// diffs exactly that via Config.Interpret).
-func (c *Core) dispatchALURun(t *thread, n int) int {
-	code := t.code
-	robLen := len(t.state)
-	pc := t.pc
-	tail := t.tail
-	for i := 0; i < n; i++ {
-		d := &code[pc]
-		var v int64
-		switch d.op {
-		case isa.OpNop:
-		case isa.OpConst:
-			v = d.imm
-		case isa.OpMov:
-			v = t.regs[d.src1]
-		case isa.OpAdd:
-			v = t.regs[d.src1] + t.regs[d.src2]
-		case isa.OpSub:
-			v = t.regs[d.src1] - t.regs[d.src2]
-		case isa.OpMul:
-			v = t.regs[d.src1] * t.regs[d.src2]
-		case isa.OpDiv:
-			if t.regs[d.src2] != 0 {
-				v = t.regs[d.src1] / t.regs[d.src2]
-			}
-		case isa.OpRem:
-			if t.regs[d.src2] != 0 {
-				v = t.regs[d.src1] % t.regs[d.src2]
-			}
-		case isa.OpAnd:
-			v = t.regs[d.src1] & t.regs[d.src2]
-		case isa.OpOr:
-			v = t.regs[d.src1] | t.regs[d.src2]
-		case isa.OpXor:
-			v = t.regs[d.src1] ^ t.regs[d.src2]
-		case isa.OpShl:
-			v = t.regs[d.src1] << (uint64(t.regs[d.src2]) & 63)
-		case isa.OpShr:
-			v = int64(uint64(t.regs[d.src1]) >> (uint64(t.regs[d.src2]) & 63))
-		case isa.OpMin:
-			v = min(t.regs[d.src1], t.regs[d.src2])
-		case isa.OpMax:
-			v = max(t.regs[d.src1], t.regs[d.src2])
-		case isa.OpAddI:
-			v = t.regs[d.src1] + d.imm
-		case isa.OpMulI:
-			v = t.regs[d.src1] * d.imm
-		case isa.OpAndI:
-			v = t.regs[d.src1] & d.imm
-		case isa.OpXorI:
-			v = t.regs[d.src1] ^ d.imm
-		case isa.OpShlI:
-			v = t.regs[d.src1] << (uint64(d.imm) & 63)
-		case isa.OpShrI:
-			v = int64(uint64(t.regs[d.src1]) >> (uint64(d.imm) & 63))
-		default:
-			c.err = fmt.Errorf("cpu: %q pc %d: unimplemented op %s", t.prog.Name, pc, d.op)
-			t.pc = pc
-			t.tail = tail
-			t.count += i
-			return i
-		}
-		idx := int32(tail)
-		ready := c.now + 1
-		if f := t.readyFloor(d); f > ready {
-			ready = f
-		}
-		if d.hasDst {
-			t.regs[d.dst] = v
-			t.producer[d.dst] = idx
-		}
-		t.rpc[idx] = int32(pc)
-		t.cmeta[idx] = d.cmeta
-		t.completeAt[idx] = c.claimIssue(ready) + c.lat[d.latClass]
-		t.state[idx] = stIssued
-		if c.trace != nil {
-			if d.skipFlag {
-				if !t.inSkip {
-					t.inSkip = true
-					c.trace.Emit(obs.Event{Cycle: c.now, Arg: int64(pc),
-						Kind: obs.KindSyncSkip, Core: c.id, Ctx: uint8(t.id)})
-				}
-			} else {
-				t.inSkip = false
-			}
-		}
-		tail++
-		if tail == robLen {
-			tail = 0
-		}
-		pc++
+// resync is the armed PC-synchronized respawn check (SetGovResync), run
+// for the main context before each instruction it may dispatch: it
+// re-seeds the ghost the moment the main thread arrives back at the
+// region-loop header, where its loop-carried registers are valid ghost
+// entry state (registers are computed at dispatch in this engine, so
+// everything before the backedge has executed). Edge-detected: a header
+// stalled on the ROB or a fetch block re-seeds once, not every cycle, and
+// a second check at the same pc is a no-op. It reports whether it
+// re-seeded, which changes the ROB and queue partitions.
+func (c *Core) resync(t *thread) bool {
+	if int64(t.pc) != c.govResyncPC {
+		c.govAtResync = false
+		return false
 	}
-	t.tail = tail
-	t.count += n
-	t.pc = pc
+	if c.govAtResync {
+		return false
+	}
+	c.govAtResync = true
+	c.govRespawn()
+	return true
+}
+
+// dispatchDecoded dispatches up to slots instructions of t straight from
+// the decoded image and returns how many it dispatched. The thread gates
+// (activity, start and fetch barriers, serialize) and the ROB/LQ/SQ
+// partitions are read once, and again only after an instruction that can
+// change them: the rare classes (serialize, spawn, join, halt, atomic),
+// which go through dispatchOne, a hard branch that blocks fetch, and a
+// PC-synchronized respawn. ALU, load, store, prefetch and branch
+// instructions run inline. The timing is bit-identical to dispatching
+// every instruction through dispatchOne (the equivalence suites diff
+// exactly that via Config.Interpret).
+func (c *Core) dispatchDecoded(t *thread, slots int) int {
+	n := 0
+	now := c.now
+	armed := t.id == 0 && c.govArmed // set only by events, before dispatch
+gates:
+	for n < slots {
+		if !t.active || t.halted || t.finished || c.err != nil {
+			break
+		}
+		if armed {
+			c.resync(t)
+		}
+		if now < t.startAt || now < t.fetchBlockedUntil || t.serializeBlocked {
+			break
+		}
+		robCap, lqCap, sqCap := c.robCap(), c.lqCap(), c.sqCap()
+		code, regs, producer := t.code, &t.regs, &t.producer
+		for n < slots {
+			if armed && c.resync(t) {
+				continue gates
+			}
+			if t.count >= robCap {
+				break gates
+			}
+			pc := t.pc
+			if pc < 0 || pc >= len(code) {
+				c.err = fmt.Errorf("cpu: %q thread %d pc %d out of range", t.prog.Name, t.id, pc)
+				break gates
+			}
+			d := &code[pc]
+			idx := int32(t.tail)
+			next := pc + 1
+			var done int64 // the entry's completion cycle
+			blocks := false
+			switch d.class {
+			case clALU:
+				var v int64
+				switch d.op {
+				case isa.OpNop:
+				case isa.OpConst:
+					v = d.imm
+				case isa.OpMov:
+					v = regs[d.src1]
+				case isa.OpAdd:
+					v = regs[d.src1] + regs[d.src2]
+				case isa.OpSub:
+					v = regs[d.src1] - regs[d.src2]
+				case isa.OpMul:
+					v = regs[d.src1] * regs[d.src2]
+				case isa.OpDiv:
+					if regs[d.src2] != 0 {
+						v = regs[d.src1] / regs[d.src2]
+					}
+				case isa.OpRem:
+					if regs[d.src2] != 0 {
+						v = regs[d.src1] % regs[d.src2]
+					}
+				case isa.OpAnd:
+					v = regs[d.src1] & regs[d.src2]
+				case isa.OpOr:
+					v = regs[d.src1] | regs[d.src2]
+				case isa.OpXor:
+					v = regs[d.src1] ^ regs[d.src2]
+				case isa.OpShl:
+					v = regs[d.src1] << (uint64(regs[d.src2]) & 63)
+				case isa.OpShr:
+					v = int64(uint64(regs[d.src1]) >> (uint64(regs[d.src2]) & 63))
+				case isa.OpMin:
+					v = min(regs[d.src1], regs[d.src2])
+				case isa.OpMax:
+					v = max(regs[d.src1], regs[d.src2])
+				case isa.OpAddI:
+					v = regs[d.src1] + d.imm
+				case isa.OpMulI:
+					v = regs[d.src1] * d.imm
+				case isa.OpAndI:
+					v = regs[d.src1] & d.imm
+				case isa.OpXorI:
+					v = regs[d.src1] ^ d.imm
+				case isa.OpShlI:
+					v = regs[d.src1] << (uint64(d.imm) & 63)
+				case isa.OpShrI:
+					v = int64(uint64(regs[d.src1]) >> (uint64(d.imm) & 63))
+				default:
+					c.err = fmt.Errorf("cpu: %q pc %d: unimplemented op %s", t.prog.Name, pc, d.op)
+					break gates
+				}
+				ready := max(now+1, t.readyFloor(d))
+				c.traceSkip(t, d, pc)
+				if d.hasDst {
+					regs[d.dst] = v
+					producer[d.dst] = idx
+				}
+				done = c.claimIssue(ready) + c.lat[d.latClass]
+			case clLoad:
+				if t.lq >= lqCap {
+					break gates
+				}
+				addr := regs[d.src1] + d.imm
+				if addr < 0 || addr >= c.mem.Size() {
+					c.err = fmt.Errorf("cpu: %q thread %d pc %d: segfault: load at %d", t.prog.Name, t.id, pc, addr)
+					break gates
+				}
+				floor := t.readyFloor(d)
+				if c.shadow != nil && t.id == 0 {
+					c.shadow.demand(addr)
+				}
+				v := c.mem.LoadWord(addr)
+				if c.fault != nil && t.id == 1 && d.syncLoad {
+					// The ghost's sync-counter read may observe the main
+					// thread's published counter with a lag (see dispatchOne).
+					v = c.fault.StaleValue(v)
+				}
+				regs[d.dst] = v
+				t.lq++
+				c.traceSkip(t, d, pc)
+				if d.lead && t.id == 1 {
+					c.observeLead(v)
+				}
+				producer[d.dst] = idx
+				done = c.issueMem(t, d, addr, floor)
+			case clStore:
+				if t.sq >= sqCap {
+					break gates
+				}
+				addr := regs[d.src1] + d.imm
+				if addr < 0 || addr >= c.mem.Size() {
+					c.err = fmt.Errorf("cpu: %q thread %d pc %d: segfault: store at %d", t.prog.Name, t.id, pc, addr)
+					break gates
+				}
+				floor := t.readyFloor(d)
+				c.mem.StoreWord(addr, regs[d.src2])
+				t.sq++
+				c.traceSkip(t, d, pc)
+				done = c.issueMem(t, d, addr, floor)
+			case clPrefetch:
+				if t.lq >= lqCap {
+					break gates
+				}
+				addr := regs[d.src1] + d.imm
+				if c.shadow != nil && t.id == 1 {
+					c.shadow.prefetch(addr)
+				}
+				if addr < 0 || addr >= c.mem.Size() {
+					addr = 0 // dropped, as on real hardware (see dispatchOne)
+				}
+				floor := t.readyFloor(d)
+				t.lq++
+				c.traceSkip(t, d, pc)
+				done = c.issueMem(t, d, addr, floor)
+			case clJmp, clCondBr:
+				taken := true
+				switch d.op {
+				case isa.OpBEQ:
+					taken = regs[d.src1] == regs[d.src2]
+				case isa.OpBNE:
+					taken = regs[d.src1] != regs[d.src2]
+				case isa.OpBLT:
+					taken = regs[d.src1] < regs[d.src2]
+				case isa.OpBGE:
+					taken = regs[d.src1] >= regs[d.src2]
+				case isa.OpBLE:
+					taken = regs[d.src1] <= regs[d.src2]
+				case isa.OpBGT:
+					taken = regs[d.src1] > regs[d.src2]
+				}
+				if taken {
+					next = int(d.target)
+				}
+				floor := t.readyFloor(d)
+				c.traceSkip(t, d, pc)
+				done = c.claimIssue(max(now+1, floor)) + c.lat[d.latClass]
+				if d.hard && floor > now {
+					// A hard branch resolving in the future blocks fetch
+					// (see dispatchOne).
+					t.fetchBlockedUntil = max(t.fetchBlockedUntil, done+c.cfg.BranchPenalty)
+					blocks = true
+				}
+			default:
+				// Serialize, spawn, join, halt and atomics: the reference
+				// path, then the gates and partitions they may change.
+				if !c.dispatchOne(t) {
+					break gates
+				}
+				n++
+				continue gates
+			}
+			t.state[idx] = stIssued
+			t.rpc[idx] = int32(pc)
+			t.cmeta[idx] = d.cmeta
+			t.completeAt[idx] = done
+			t.push()
+			t.pc = next
+			n++
+			if blocks {
+				continue gates
+			}
+		}
+	}
 	return n
 }
 
-// dispatchOne is the per-instruction reference path: non-ALU
-// instructions always take it, and Config.Interpret routes everything
-// through it so the differential suite can prove superblock dispatch
-// changes nothing. It works off the original isa.Instr deliberately —
-// this is the interpreter the decoded fast path is measured against.
+// push advances the ROB tail past the entry just written there.
+func (t *thread) push() {
+	t.tail++
+	if t.tail == len(t.state) {
+		t.tail = 0
+	}
+	t.count++
+}
+
+// traceSkip is the sync-skip trace tap: it emits one instant when t
+// enters a run of FlagSyncSkip instructions.
+func (c *Core) traceSkip(t *thread, d *dInstr, pc int) {
+	if c.trace == nil {
+		return
+	}
+	if d.skipFlag {
+		if !t.inSkip {
+			t.inSkip = true
+			c.trace.Emit(obs.Event{Cycle: c.now, Arg: int64(pc),
+				Kind: obs.KindSyncSkip, Core: c.id, Ctx: uint8(t.id)})
+		}
+	} else {
+		t.inSkip = false
+	}
+}
+
+// observeLead is the ghost-lead tap: the ghost just read the main
+// thread's published counter into v, and its own count is the published
+// ghost counter word (requires core.SyncParams.Trace).
+func (c *Core) observeLead(v int64) {
+	if c.met != nil && c.met.GhostLead != nil {
+		c.met.GhostLead.Observe(c.mem.LoadWord(c.met.GhostCounterAddr) - v)
+	}
+	if c.wrec != nil {
+		c.wrec.ObserveLead(c.mem.LoadWord(c.wrecAddr) - v)
+	}
+}
+
+// dispatchOne is the per-instruction reference path: Config.Interpret
+// routes every instruction through it, so the differential suites can
+// prove the decoded loop changes nothing, and the decoded loop hands it
+// the rare classes. It re-checks every gate and works off the original
+// isa.Instr deliberately — this is the interpreter the decoded loop is
+// measured against.
 func (c *Core) dispatchOne(t *thread) bool {
 	if !t.active || t.halted || t.finished || c.err != nil {
 		return false
+	}
+	if t.id == 0 && c.govArmed {
+		c.resync(t)
 	}
 	if c.now < t.startAt || c.now < t.fetchBlockedUntil || t.serializeBlocked {
 		return false
@@ -1330,29 +1456,9 @@ func (c *Core) dispatchOne(t *thread) bool {
 	}
 
 	// Observability taps (no effect on timing or statistics).
-	if c.trace != nil {
-		if in.Flags&isa.FlagSyncSkip != 0 {
-			if !t.inSkip {
-				t.inSkip = true
-				c.trace.Emit(obs.Event{Cycle: c.now, Arg: int64(t.pc),
-					Kind: obs.KindSyncSkip, Core: c.id, Ctx: uint8(t.id)})
-			}
-		} else {
-			t.inSkip = false
-		}
-	}
-	if (c.wrec != nil || (c.met != nil && c.met.GhostLead != nil)) &&
-		t.id == 1 && in.Op == isa.OpLoad &&
-		in.Flags&(isa.FlagSync|isa.FlagSyncSkip|isa.FlagGovParam) == isa.FlagSync {
-		// A sync check: the ghost just read the main thread's published
-		// counter. Its own count is the published ghost counter word
-		// (requires core.SyncParams.Trace).
-		if c.met != nil && c.met.GhostLead != nil {
-			c.met.GhostLead.Observe(c.mem.LoadWord(c.met.GhostCounterAddr) - t.regs[in.Dst])
-		}
-		if c.wrec != nil {
-			c.wrec.ObserveLead(c.mem.LoadWord(c.wrecAddr) - t.regs[in.Dst])
-		}
+	c.traceSkip(t, d, t.pc)
+	if d.lead && t.id == 1 {
+		c.observeLead(t.regs[in.Dst])
 	}
 
 	// Claim the destination register for timing purposes.
@@ -1392,11 +1498,7 @@ func (c *Core) dispatchOne(t *thread) bool {
 		}
 	}
 
-	t.tail++
-	if t.tail == len(t.state) {
-		t.tail = 0
-	}
-	t.count++
+	t.push()
 	t.pc = nextPC
 	return true
 }

@@ -3,9 +3,8 @@ package cpu
 import "ghostthread/internal/isa"
 
 // Instruction classes for decoded dispatch. clALU covers every
-// straight-line functional op (including nop): the ops a superblock can
-// execute back-to-back without touching memory, control flow, or thread
-// state.
+// straight-line functional op (including nop): the ops that touch
+// neither memory, control flow, nor thread state.
 const (
 	clALU = iota
 	clLoad
@@ -41,10 +40,10 @@ type dInstr struct {
 	nsrc     uint8
 	latClass uint8
 	hasDst   bool
-	hard     bool // conditional branch with FlagHardBranch
-	syncLoad bool // load with (FlagSync|FlagSyncSkip) == FlagSync
-	skipFlag bool // FlagSyncSkip set (trace tap)
-	run      uint16
+	hard     bool   // conditional branch with FlagHardBranch
+	syncLoad bool   // load with (FlagSync|FlagSyncSkip) == FlagSync
+	skipFlag bool   // FlagSyncSkip set (trace tap)
+	lead     bool   // load with (FlagSync|FlagSyncSkip|FlagGovParam) == FlagSync (ghost-lead tap)
 	cmeta    uint16 // packed commit metadata, copied into the ROB slot
 	imm      int64
 	target   int32
@@ -65,11 +64,8 @@ const (
 )
 
 // decodedProgram caches the decoded form of one isa.Program, built once
-// per Core.Load. Superblocks are encoded by run: for a clALU instruction
-// at pc, code[pc].run is the length of the maximal straight-line ALU run
-// starting there (ending at the first branch, memory op, serialize, or
-// thread op), so every pc is implicitly the entry of its own superblock
-// suffix and dispatch needs no separate block table.
+// per Core.Load; the decoded dispatch loop (Core.dispatchDecoded) runs
+// straight from it.
 //
 // There is no invalidation: isa.Program is immutable once built (see the
 // package isa contract) and the decoded image is keyed to the *Program a
@@ -100,6 +96,8 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 		d.syncLoad = in.Op == isa.OpLoad &&
 			in.Flags&(isa.FlagSync|isa.FlagSyncSkip) == isa.FlagSync
 		d.skipFlag = in.Flags&isa.FlagSyncSkip != 0
+		d.lead = in.Op == isa.OpLoad &&
+			in.Flags&(isa.FlagSync|isa.FlagSyncSkip|isa.FlagGovParam) == isa.FlagSync
 		switch in.Op {
 		case isa.OpLoad:
 			d.class = clLoad
@@ -141,17 +139,6 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 			d.cmeta |= cmetaQStore << cmetaQShift
 		case clLoad, clPrefetch, clAtomic:
 			d.cmeta |= cmetaQLoad << cmetaQShift
-		}
-	}
-	run := 0
-	for i := len(dp.code) - 1; i >= 0; i-- {
-		if dp.code[i].class == clALU {
-			if run < int(^uint16(0)) {
-				run++
-			}
-			dp.code[i].run = uint16(run)
-		} else {
-			run = 0
 		}
 	}
 	return dp

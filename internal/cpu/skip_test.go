@@ -371,7 +371,9 @@ func TestSkipEquivalenceCycleGuard(t *testing.T) {
 
 // BenchmarkCoreStep measures simulator throughput on a DRAM-bound
 // pointer chase whose working set (512 KiB) dwarfs the 32 KiB LLC —
-// the event-skip fast path must deliver >= 1.5x the per-cycle loop.
+// the event-skip fast path must deliver >= 1.5x the per-cycle loop. The
+// interpret row is event-skip with Config.Interpret, so against the
+// event-skip row it isolates the decoded dispatch loop.
 func BenchmarkCoreStep(b *testing.B) {
 	const (
 		base  = int64(1 << 15)
@@ -382,10 +384,12 @@ func BenchmarkCoreStep(b *testing.B) {
 	init := chaseInit(base, ptrs, 1)
 	prog := chaseProgram(base, hops)
 
-	bench := func(b *testing.B, skip bool) {
+	bench := func(b *testing.B, skip, interpret bool) {
+		cfg := DefaultConfig()
+		cfg.Interpret = interpret
 		var simCycles int64
 		for i := 0; i < b.N; i++ {
-			c := buildRig(DefaultConfig(), 1<<18, init)
+			c := buildRig(cfg, 1<<18, init)
 			c.Load(prog, nil)
 			var err error
 			if skip {
@@ -400,6 +404,7 @@ func BenchmarkCoreStep(b *testing.B) {
 		}
 		b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "simcycles/s")
 	}
-	b.Run("event-skip", func(b *testing.B) { bench(b, true) })
-	b.Run("cycle-step", func(b *testing.B) { bench(b, false) })
+	b.Run("event-skip", func(b *testing.B) { bench(b, true, false) })
+	b.Run("cycle-step", func(b *testing.B) { bench(b, false, false) })
+	b.Run("interpret", func(b *testing.B) { bench(b, true, true) })
 }

@@ -104,7 +104,7 @@ type Config struct {
 	// TooFarAddr/CloseAddr (the governor-owned memory words an opt-in
 	// dynamic sync segment loads its thresholds from) and their initial
 	// values.
-	Retune    bool
+	Retune     bool
 	TooFarAddr int64
 	CloseAddr  int64
 	TooFarInit int64

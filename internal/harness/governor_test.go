@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"ghostthread/internal/fault"
@@ -206,4 +207,30 @@ func findGovRow(t *testing.T, rows []GovRow, workload, kind string) GovRow {
 	}
 	t.Fatalf("no %s/%s row in %+v", workload, kind, rows)
 	return GovRow{}
+}
+
+// TestGovernorDecisionsIndependentOfDispatch: the governed bfs.kron
+// compiler ghost re-seeds at the region-loop header (PC-synchronized
+// respawn), a check the decoded dispatch loop makes before every main
+// instruction. Its decision log and cycle count must equal those of the
+// per-instruction reference dispatch (cpu.Config.Interpret).
+func TestGovernorDecisionsIndependentOfDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eval-scale simulation")
+	}
+	var rows [2]GovRow
+	for i, interpret := range []bool{false, true} {
+		cfg := sim.DefaultConfig()
+		cfg.CPU.Interpret = interpret
+		rows[i] = findGovRow(t, GovernorExperiment([]string{"bfs.kron"}, cfg, govWindow), "bfs.kron", "compiler")
+		if rows[i].Err != "" {
+			t.Fatalf("interpret=%v: %s", interpret, rows[i].Err)
+		}
+	}
+	if rows[0].Respawns == 0 {
+		t.Fatal("no governor respawns; the resync check is not exercised")
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("decoded dispatch row\n %+v\ndiffers from the interpreted row\n %+v", rows[0], rows[1])
+	}
 }

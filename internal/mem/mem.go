@@ -31,7 +31,7 @@ func (m *Memory) Size() int64 { return int64(len(m.words)) }
 // LoadWord returns the word at addr.
 func (m *Memory) LoadWord(addr int64) int64 {
 	if addr < 0 || addr >= int64(len(m.words)) {
-		panic(fmt.Sprintf("mem: load out of range: %d (size %d)", addr, len(m.words)))
+		m.outOfRange("load", addr)
 	}
 	return m.words[addr]
 }
@@ -39,9 +39,17 @@ func (m *Memory) LoadWord(addr int64) int64 {
 // StoreWord writes v at addr.
 func (m *Memory) StoreWord(addr int64, v int64) {
 	if addr < 0 || addr >= int64(len(m.words)) {
-		panic(fmt.Sprintf("mem: store out of range: %d (size %d)", addr, len(m.words)))
+		m.outOfRange("store", addr)
 	}
 	m.words[addr] = v
+}
+
+// outOfRange panics for an access outside the image. It is out of line
+// so that LoadWord and StoreWord stay cheap enough to inline.
+//
+//go:noinline
+func (m *Memory) outOfRange(op string, addr int64) {
+	panic(fmt.Sprintf("mem: %s out of range: %d (size %d)", op, addr, len(m.words)))
 }
 
 // Fill sets words [addr, addr+n) to v.

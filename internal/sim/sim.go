@@ -343,44 +343,110 @@ func (e *BudgetError) Error() string {
 }
 
 // Run simulates until every core is done, returning aggregate statistics.
-// Unless cfg.CycleStep is set, it fast-forwards over spans in which no
-// core can change state (see skipAhead); the Result is bit-identical
-// either way. Cores step one after another in index order, so every
+//
+// It is a per-core next-event loop (DESIGN.md §9.3). For each unfinished
+// core it keeps the cycle of the core's next event (cpu.Core.NextEvent).
+// The next stepped cycle is the earliest of those, capped at the next
+// SampleEvery and telemetry-window boundaries and at MaxCycles, and at
+// that cycle only the cores due then step, in index order, so every
 // shared-LLC, memory-controller and memory-image interaction happens in
-// one deterministic order (DESIGN.md §13).
+// one deterministic order. A core that is not due lags: it is brought
+// current with SkipTo only when it is due again, or when it must be
+// current — at a sampler or window boundary and at the MaxCycles trip.
+// With cfg.CycleStep every unfinished core is due every cycle, the
+// per-cycle reference the Result is bit-identical to.
 func (s *System) Run() (Result, error) {
 	sampleAt := s.cfg.SampleEvery
+	if s.cfg.Sampler == nil {
+		sampleAt = 0
+	}
 	windowAt := s.cfg.Telemetry.WindowCycles
+	// Per-core next-event cycles; every core steps at the first cycle.
+	// The constant capacity keeps the slice off the heap up to 16 cores.
+	next := make([]int64, 0, 16)
+	for range s.cores {
+		next = append(next, s.now+1)
+	}
 	for {
+		at := int64(math.MaxInt64)
 		allDone := true
 		for i, c := range s.cores {
-			if c.Done() {
-				if s.finishAt[i] < 0 {
-					s.finishAt[i] = c.Now()
-				}
-				continue
+			if !c.Done() {
+				allDone = false
+				at = min(at, next[i])
 			}
-			allDone = false
-			c.Step()
 		}
-		s.now++
-		if s.cfg.Sampler != nil && sampleAt > 0 && s.now%sampleAt == 0 {
-			s.cfg.Sampler(s.now)
+		if allDone {
+			// One more cycle, as the per-cycle loop counts it: the run
+			// ends on the cycle after the last core finished.
+			at = s.now + 1
+		} else {
+			if sampleAt > 0 {
+				at = min(at, s.now-s.now%sampleAt+sampleAt)
+			}
+			if windowAt > 0 {
+				at = min(at, s.now-s.now%windowAt+windowAt)
+			}
+			at = max(min(at, s.cfg.MaxCycles), s.now+1)
+			for i, c := range s.cores {
+				if next[i] != at || c.Done() {
+					continue
+				}
+				c.SkipTo(at - 1)
+				c.Step()
+				switch {
+				case c.Done():
+					s.finishAt[i] = c.Now()
+				case s.cfg.CycleStep:
+					next[i] = at + 1
+				default:
+					next[i] = c.NextEvent()
+				}
+			}
 		}
-		if windowAt > 0 && s.now%windowAt == 0 {
+		s.now = at
+		if sampleAt > 0 && at%sampleAt == 0 {
+			s.catchUp()
+			s.cfg.Sampler(at)
+		}
+		if windowAt > 0 && at%windowAt == 0 {
+			s.catchUp()
 			s.flushWindows()
+			if s.gov != nil && !s.cfg.CycleStep {
+				// Decisions ride the cores' timing wheels.
+				for i, c := range s.cores {
+					next[i] = c.NextEvent()
+				}
+			}
 		}
 		if allDone {
 			break
 		}
-		if s.now >= s.cfg.MaxCycles {
+		if at >= s.cfg.MaxCycles {
+			s.catchUp()
 			return Result{}, &BudgetError{Limit: s.cfg.MaxCycles}
-		}
-		if !s.cfg.CycleStep {
-			s.skipAhead(sampleAt)
 		}
 	}
 	return s.collect()
+}
+
+// catchUp brings every unfinished core that lags to the current cycle.
+// A lagging core is not due before its next event, so the SkipTo only
+// accrues the stall statistics the skipped cycles would have recorded.
+//
+// Why a core may lag while others step: a core's state changes only when
+// it steps. Its next event depends on its own pipeline and timing wheel
+// alone; the other cores reach it only through the shared LLC, memory
+// controller and memory image, and it touches those only when it
+// dispatches, which it cannot do before its next event. The memory
+// controller's pressure schedule is a pure function of the slot index
+// (see mem.Controller.pressureBusy), so no catch-up is owed there either.
+func (s *System) catchUp() {
+	for _, c := range s.cores {
+		if !c.Done() {
+			c.SkipTo(s.now)
+		}
+	}
 }
 
 // flushWindows closes the telemetry window ending at the current cycle:
@@ -567,56 +633,6 @@ func (s *System) collect() (Result, error) {
 	}
 	res.GovDecisions = s.govLog
 	return res, nil
-}
-
-// skipAhead advances the whole machine to just before the earliest cycle
-// at which any unfinished core can change state. Because every core is
-// quiescent over the span, no shared-LLC or memory-controller interaction
-// can occur either, so skipping is safe machine-wide; each core accrues
-// the skipped cycles' stall statistics via SkipTo. The target is capped
-// below the next SampleEvery boundary (so the sampler fires on exactly
-// the per-cycle schedule) and below MaxCycles (so the runaway guard trips
-// at the same cycle as the reference loop).
-//
-// The memory controller needs no entry in the next-event computation: it
-// only acts when a core sends it an access, and its pressure schedule is
-// a pure function of the slot index (see mem.Controller.pressureBusy), so
-// skipping over a span changes nothing about which slots the background
-// traffic occupies.
-func (s *System) skipAhead(sampleAt int64) {
-	next := int64(math.MaxInt64)
-	for _, c := range s.cores {
-		if c.Done() {
-			continue
-		}
-		if ne := c.NextEvent(); ne < next {
-			next = ne
-		}
-	}
-	if next == math.MaxInt64 {
-		return
-	}
-	target := next - 1
-	if s.cfg.Sampler != nil && sampleAt > 0 {
-		boundary := s.now - s.now%sampleAt + sampleAt
-		target = min(target, boundary-1)
-	}
-	if w := s.cfg.Telemetry.WindowCycles; w > 0 {
-		// Step onto every window boundary so flushes happen at exactly
-		// the per-cycle schedule (same trick as the sampler cap).
-		boundary := s.now - s.now%w + w
-		target = min(target, boundary-1)
-	}
-	target = min(target, s.cfg.MaxCycles-1)
-	if target <= s.now {
-		return
-	}
-	for _, c := range s.cores {
-		if !c.Done() {
-			c.SkipTo(target)
-		}
-	}
-	s.now = target
 }
 
 // RunProgram is the single-core convenience path: build a machine with
